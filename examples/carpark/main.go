@@ -22,6 +22,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mac"
 	"repro/internal/mobility"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
@@ -41,11 +42,11 @@ func (f fleet) Position(id event.NodeID, at sim.Time) geo.Point {
 	return f[id].model.Position(at)
 }
 
-// simScheduler adapts the simulation engine to core.Scheduler.
+// simScheduler adapts the simulation engine to proto.Scheduler.
 type simScheduler struct{ eng *sim.Engine }
 
 func (s simScheduler) Now() time.Duration { return s.eng.Now().Duration() }
-func (s simScheduler) After(d time.Duration, fn func()) core.Timer {
+func (s simScheduler) After(d time.Duration, fn func()) proto.Timer {
 	return s.eng.After(d, fn)
 }
 

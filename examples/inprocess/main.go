@@ -2,7 +2,7 @@
 // three "devices" live on goroutines, connected by an in-process
 // broadcast bus, each wrapped in core.Safe for thread safety. This is the
 // deployment shape for a real transport (UDP broadcast, BLE advertising):
-// implement core.Scheduler with the wall clock and core.Transport with
+// implement proto.Scheduler with the wall clock and proto.Transport with
 // your radio, and the protocol code is unchanged.
 //
 // Run with: go run ./examples/inprocess
@@ -16,14 +16,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
-// wallClock implements core.Scheduler on real time.
+// wallClock implements proto.Scheduler on real time.
 type wallClock struct{ start time.Time }
 
 func (w wallClock) Now() time.Duration { return time.Since(w.start) }
-func (w wallClock) After(d time.Duration, fn func()) core.Timer {
+func (w wallClock) After(d time.Duration, fn func()) proto.Timer {
 	return wallTimer{time.AfterFunc(d, fn)}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 	"repro/internal/transport"
 )
@@ -25,7 +26,7 @@ const meshSize = 5
 type clock struct{ start time.Time }
 
 func (c clock) Now() time.Duration { return time.Since(c.start) }
-func (c clock) After(d time.Duration, fn func()) core.Timer {
+func (c clock) After(d time.Duration, fn func()) proto.Timer {
 	return timer{time.AfterFunc(d, fn)}
 }
 

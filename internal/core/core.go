@@ -19,39 +19,12 @@
 //     first).
 //
 // The protocol is transport-agnostic: it talks to the outside world only
-// through the small Clock/Scheduler/Transport interfaces, so the same
-// code runs on the discrete-event simulator (internal/netsim) and on real
-// time (examples/inprocess).
+// through the small proto.Scheduler and proto.Transport interfaces, so
+// the same code runs on the discrete-event simulator (internal/netsim)
+// and on real time (examples/inprocess).
 //
 // Concurrency contract: a Protocol instance is single-threaded. All entry
 // points (Subscribe, Publish, HandleMessage, timer callbacks scheduled via
 // the Scheduler) must be invoked serially. Wrap a Protocol in Safe for use
 // from multiple goroutines.
 package core
-
-import (
-	"repro/internal/proto"
-)
-
-// The protocol-facing interfaces and the shared counters live in
-// internal/proto (the protocol layer's neutral ground, shared with the
-// flooding/gossip baselines and the registry); these aliases keep the
-// historical core-qualified names working for deployments and tests.
-
-// Timer is a cancellable pending callback, as returned by Scheduler.After.
-type Timer = proto.Timer
-
-// Scheduler abstracts time for the protocol: the simulator provides
-// virtual time, real deployments provide the wall clock.
-type Scheduler = proto.Scheduler
-
-// Transport is the one-hop broadcast primitive of the underlying MAC
-// layer. Broadcast must not call back into the Protocol synchronously
-// with a received message on a real concurrent transport; the simulator's
-// in-order delivery is fine because everything stays on one logical
-// thread.
-type Transport = proto.Transport
-
-// Stats counts protocol activity; all counters are cumulative since
-// creation. Snapshot via Protocol.Stats.
-type Stats = proto.Stats

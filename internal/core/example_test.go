@@ -6,15 +6,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
 
-// exampleSched adapts the simulation engine to core.Scheduler.
+// exampleSched adapts the simulation engine to proto.Scheduler.
 type exampleSched struct{ eng *sim.Engine }
 
 func (s exampleSched) Now() time.Duration { return s.eng.Now().Duration() }
-func (s exampleSched) After(d time.Duration, fn func()) core.Timer {
+func (s exampleSched) After(d time.Duration, fn func()) proto.Timer {
 	return s.eng.After(d, fn)
 }
 

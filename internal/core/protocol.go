@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
@@ -14,8 +15,8 @@ import (
 // See the package comment for the concurrency contract.
 type Protocol struct {
 	cfg   Config
-	sched Scheduler
-	tr    Transport
+	sched proto.Scheduler
+	tr    proto.Transport
 
 	subs  *topic.Set
 	nbrs  *neighborhood
@@ -24,9 +25,9 @@ type Protocol struct {
 	hbDelay  time.Duration
 	ngcDelay time.Duration
 
-	hbTimer    Timer
-	ngcTimer   Timer
-	boTimer    Timer
+	hbTimer    proto.Timer
+	ngcTimer   proto.Timer
+	boTimer    proto.Timer
 	boDeadline time.Duration
 
 	// pendingIDs stashes event-id lists heard from processes we have not
@@ -37,7 +38,7 @@ type Protocol struct {
 	// frugality while restoring liveness; entries expire after ngcDelay.
 	pendingIDs map[event.NodeID]pendingIDList
 
-	stats   Stats
+	stats   proto.Stats
 	stopped bool
 }
 
@@ -53,7 +54,7 @@ const maxPendingIDLists = 64
 // New creates a protocol instance. It returns an error on invalid
 // configuration. The instance is idle until Subscribe or Publish is
 // called.
-func New(cfg Config, sched Scheduler, tr Transport) (*Protocol, error) {
+func New(cfg Config, sched proto.Scheduler, tr proto.Transport) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func New(cfg Config, sched Scheduler, tr Transport) (*Protocol, error) {
 func (p *Protocol) ID() event.NodeID { return p.cfg.ID }
 
 // Stats returns a snapshot of the protocol counters.
-func (p *Protocol) Stats() Stats { return p.stats }
+func (p *Protocol) Stats() proto.Stats { return p.stats }
 
 // HBDelay returns the current (adaptive) heartbeat period.
 func (p *Protocol) HBDelay() time.Duration { return p.hbDelay }
@@ -141,7 +142,7 @@ func (p *Protocol) Unsubscribe(t topic.Topic) {
 	}
 }
 
-func stopTimer(t *Timer) {
+func stopTimer(t *proto.Timer) {
 	if *t != nil {
 		(*t).Stop()
 		*t = nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
@@ -15,7 +16,7 @@ import (
 type simSched struct{ eng *sim.Engine }
 
 func (s simSched) Now() time.Duration { return s.eng.Now().Duration() }
-func (s simSched) After(d time.Duration, fn func()) Timer {
+func (s simSched) After(d time.Duration, fn func()) proto.Timer {
 	return s.eng.After(d, fn)
 }
 
@@ -545,7 +546,7 @@ func TestEventTableCapacityTriggersGC(t *testing.T) {
 }
 
 func TestScenarioDeterminism(t *testing.T) {
-	run := func() []Stats {
+	run := func() []proto.Stats {
 		h := newHarness(t, 42)
 		for id := event.NodeID(1); id <= 5; id++ {
 			h.addNode(id, Config{}, ".t")
@@ -555,7 +556,7 @@ func TestScenarioDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.runUntil(30)
-		var out []Stats
+		var out []proto.Stats
 		for id := event.NodeID(1); id <= 5; id++ {
 			out = append(out, h.protos[id].Stats())
 		}

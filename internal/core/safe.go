@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
@@ -23,7 +24,7 @@ type Safe struct {
 // NewSafe builds a mutex-guarded protocol on the given scheduler and
 // transport. The scheduler's callbacks are automatically serialized; the
 // transport may deliver from any goroutine via HandleMessage.
-func NewSafe(cfg Config, sched Scheduler, tr Transport) (*Safe, error) {
+func NewSafe(cfg Config, sched proto.Scheduler, tr proto.Transport) (*Safe, error) {
 	s := &Safe{}
 	p, err := New(cfg, &lockedScheduler{mu: &s.mu, inner: sched}, tr)
 	if err != nil {
@@ -36,12 +37,12 @@ func NewSafe(cfg Config, sched Scheduler, tr Transport) (*Safe, error) {
 // lockedScheduler wraps scheduled callbacks with the Safe mutex.
 type lockedScheduler struct {
 	mu    *sync.Mutex
-	inner Scheduler
+	inner proto.Scheduler
 }
 
 func (l *lockedScheduler) Now() time.Duration { return l.inner.Now() }
 
-func (l *lockedScheduler) After(d time.Duration, fn func()) Timer {
+func (l *lockedScheduler) After(d time.Duration, fn func()) proto.Timer {
 	return l.inner.After(d, func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -78,7 +79,7 @@ func (s *Safe) HandleMessage(m event.Message) error {
 }
 
 // Stats is a thread-safe Protocol.Stats.
-func (s *Safe) Stats() Stats {
+func (s *Safe) Stats() proto.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.p.Stats()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
@@ -17,7 +18,7 @@ type wallScheduler struct {
 
 func (w *wallScheduler) Now() time.Duration { return time.Since(w.start) }
 
-func (w *wallScheduler) After(d time.Duration, fn func()) Timer {
+func (w *wallScheduler) After(d time.Duration, fn func()) proto.Timer {
 	return wallTimer{t: time.AfterFunc(d, fn)}
 }
 

@@ -72,41 +72,6 @@ func TestSweepParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestTiledParallelInvariance composes the two parallelism axes: a
-// seed sweep of tile-parallel city runs (Scenario.Tiles) through the
-// worker pool (-parallel) must produce the same fingerprints as the
-// serial, untiled sweep — run by run, byte for byte.
-func TestTiledParallelInvariance(t *testing.T) {
-	def, ok := netsim.LookupScenario("metro-slice")
-	if !ok {
-		t.Fatal("metro-slice not registered")
-	}
-	const seeds = 3
-	sweep := func(parallel, tiles int) []string {
-		fps, err := runJobs(Options{Parallel: parallel}, seeds, func(i int) (string, error) {
-			sc := def.Instantiate(int64(i) + 1)
-			sc.Warmup = 5 * time.Second
-			sc.Measure = 10 * time.Second
-			sc.Tiles = tiles
-			res, err := netsim.Run(sc)
-			if err != nil {
-				return "", err
-			}
-			return res.Fingerprint(), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fps
-	}
-	want := sweep(1, 1)
-	for _, tc := range [][2]int{{1, 4}, {4, 4}, {4, 1}} {
-		if got := sweep(tc[0], tc[1]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel=%d tiles=%d fingerprints %v, want %v", tc[0], tc[1], got, want)
-		}
-	}
-}
-
 // TestRunJobsOrderAndErrors covers the scheduler itself: results come
 // back in job order, and the lowest-indexed failing job wins
 // regardless of parallelism.

@@ -23,8 +23,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
@@ -116,22 +116,22 @@ type floodNeighbor struct {
 // single-threaded: all entry points must be called serially.
 type Protocol struct {
 	cfg   Config
-	sched core.Scheduler
-	tr    core.Transport
+	sched proto.Scheduler
+	tr    proto.Transport
 
 	subs  *topic.Set
 	store map[event.ID]*storedEvent
 	nbrs  map[event.NodeID]*floodNeighbor
 
-	tickTimer core.Timer
-	hbTimer   core.Timer
-	stats     core.Stats
+	tickTimer proto.Timer
+	hbTimer   proto.Timer
+	stats     proto.Stats
 	stopped   bool
 }
 
 // New creates a flooding node; the periodic flood task starts on the
 // first Subscribe or Publish.
-func New(cfg Config, sched core.Scheduler, tr core.Transport) (*Protocol, error) {
+func New(cfg Config, sched proto.Scheduler, tr proto.Transport) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func New(cfg Config, sched core.Scheduler, tr core.Transport) (*Protocol, error)
 func (p *Protocol) ID() event.NodeID { return p.cfg.ID }
 
 // Stats returns a snapshot of the counters.
-func (p *Protocol) Stats() core.Stats { return p.stats }
+func (p *Protocol) Stats() proto.Stats { return p.stats }
 
 // HasEvent reports whether the store holds id.
 func (p *Protocol) HasEvent(id event.ID) bool {

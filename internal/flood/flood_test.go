@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
@@ -16,7 +16,7 @@ import (
 type simSched struct{ eng *sim.Engine }
 
 func (s simSched) Now() time.Duration { return s.eng.Now().Duration() }
-func (s simSched) After(d time.Duration, fn func()) core.Timer {
+func (s simSched) After(d time.Duration, fn func()) proto.Timer {
 	return s.eng.After(d, fn)
 }
 
@@ -293,7 +293,7 @@ func TestFloodStop(t *testing.T) {
 }
 
 func TestFloodDeterminism(t *testing.T) {
-	run := func() []core.Stats {
+	run := func() []proto.Stats {
 		h := newHarness(t, 42)
 		for id := event.NodeID(1); id <= 4; id++ {
 			h.addNode(id, Simple, ".t")
@@ -302,7 +302,7 @@ func TestFloodDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.runUntil(40)
-		var out []core.Stats
+		var out []proto.Stats
 		for id := event.NodeID(1); id <= 4; id++ {
 			out = append(out, h.protos[id].Stats())
 		}

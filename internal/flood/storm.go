@@ -7,8 +7,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
@@ -109,18 +109,18 @@ type stormEvent struct {
 // Single-threaded, like the other protocols.
 type Storm struct {
 	cfg   StormConfig
-	sched core.Scheduler
-	tr    core.Transport
+	sched proto.Scheduler
+	tr    proto.Transport
 
 	subs  *topic.Set
 	store map[event.ID]*stormEvent
 
-	stats   core.Stats
+	stats   proto.Stats
 	stopped bool
 }
 
 // NewStorm creates a probabilistic or counter-based broadcast node.
-func NewStorm(cfg StormConfig, sched core.Scheduler, tr core.Transport) (*Storm, error) {
+func NewStorm(cfg StormConfig, sched proto.Scheduler, tr proto.Transport) (*Storm, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func NewStorm(cfg StormConfig, sched core.Scheduler, tr core.Transport) (*Storm,
 func (s *Storm) ID() event.NodeID { return s.cfg.ID }
 
 // Stats returns a snapshot of the counters.
-func (s *Storm) Stats() core.Stats { return s.stats }
+func (s *Storm) Stats() proto.Stats { return s.stats }
 
 // HasEvent reports whether the store holds id.
 func (s *Storm) HasEvent(id event.ID) bool {

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topic"
 )
@@ -237,7 +237,7 @@ func TestStormPublishValidation(t *testing.T) {
 }
 
 func TestStormDeterminism(t *testing.T) {
-	run := func() []core.Stats {
+	run := func() []proto.Stats {
 		h := newStormHarness(t, 42)
 		ps := make([]*Storm, 5)
 		for i := range ps {
@@ -247,7 +247,7 @@ func TestStormDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.eng.RunUntil(sim.Seconds(70))
-		out := make([]core.Stats, len(ps))
+		out := make([]proto.Stats, len(ps))
 		for i, p := range ps {
 			out[i] = p.Stats()
 		}

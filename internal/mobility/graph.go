@@ -1,7 +1,6 @@
 package mobility
 
 import (
-	"container/heap"
 	"container/list"
 	"errors"
 	"fmt"
@@ -37,6 +36,11 @@ type Graph struct {
 	routes     map[int]*routeTree
 	routeLRU   list.List // front = most recently used, values *routeTree
 	routeBytes int       // approximate footprint of cached trees
+
+	// dist and pq are dijkstraTree's scratch, reused across tree builds
+	// under mu so a cold build allocates only the tree it returns.
+	dist []float64
+	pq   pathHeap
 }
 
 // routeTree is a memoized full-Dijkstra predecessor tree from one
@@ -282,19 +286,25 @@ func (g *Graph) routeTreeFrom(src int) []int32 {
 // dijkstraTree runs Dijkstra from src over the whole graph (no early
 // exit) and returns the predecessor tree. Must mirror the relaxation
 // rule of the pre-cache targeted search exactly (strict <, heap order)
-// so reconstructed paths stay byte-identical.
+// so reconstructed paths stay byte-identical. The caller holds mu,
+// which guards the dist and pq scratch.
 func (g *Graph) dijkstraTree(src int) []int32 {
 	const inf = 1e300
-	dist := make([]float64, len(g.points))
-	prev := make([]int32, len(g.points))
+	n := len(g.points)
+	if cap(g.dist) < n {
+		g.dist = make([]float64, n)
+	}
+	dist := g.dist[:n]
+	prev := make([]int32, n)
 	for i := range dist {
 		dist[i] = inf
 		prev[i] = -1
 	}
 	dist[src] = 0
-	pq := &pathHeap{{node: src}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(pathItem)
+	pq := append(g.pq[:0], pathItem{node: src})
+	for len(pq) > 0 {
+		var cur pathItem
+		cur, pq = pq.pop()
 		if cur.cost > dist[cur.node] {
 			continue
 		}
@@ -303,10 +313,11 @@ func (g *Graph) dijkstraTree(src int) []int32 {
 			if c < dist[r.To] {
 				dist[r.To] = c
 				prev[r.To] = int32(cur.node)
-				heap.Push(pq, pathItem{node: r.To, cost: c})
+				pq = pq.push(pathItem{node: r.To, cost: c})
 			}
 		}
 	}
+	g.pq = pq
 	return prev
 }
 
@@ -384,10 +395,41 @@ type pathItem struct {
 	cost float64
 }
 
+// pathHeap is a binary min-heap on cost. push and pop use
+// container/heap's sift-up and sift-down exactly, so items pop in the
+// same order as through heap.Push/heap.Pop, without boxing every item
+// in an interface.
 type pathHeap []pathItem
 
-func (h pathHeap) Len() int           { return len(h) }
-func (h pathHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
-func (h pathHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x any)        { *h = append(*h, x.(pathItem)) }
-func (h *pathHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h pathHeap) push(it pathItem) pathHeap {
+	h = append(h, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
+func (h pathHeap) pop() (pathItem, pathHeap) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].cost < h[j].cost {
+			j = j2
+		}
+		if !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[n], h[:n]
+}

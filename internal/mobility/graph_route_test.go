@@ -27,7 +27,7 @@ func refShortestPath(g *Graph, a, b int) ([]int, error) {
 		prev[i] = -1
 	}
 	dist[a] = 0
-	pq := &pathHeap{{node: a}}
+	pq := &refHeap{{node: a}}
 	for pq.Len() > 0 {
 		cur := heap.Pop(pq).(pathItem)
 		if cur.node == b {
@@ -56,6 +56,22 @@ func refShortestPath(g *Graph, a, b int) ([]int, error) {
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, nil
+}
+
+// refHeap drives the reference search through container/heap, the
+// order Graph's typed pathHeap must reproduce.
+type refHeap []pathItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(pathItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
 }
 
 func pathsEqual(a, b []int) bool {
@@ -223,5 +239,26 @@ func TestShortestPathUnreachableCached(t *testing.T) {
 	// The a==b fast path must not consult (or populate) the cache.
 	if p, err := g.ShortestPath(2, 2); err != nil || !pathsEqual(p, []int{2}) {
 		t.Fatalf("self path = %v, %v", p, err)
+	}
+}
+
+// TestDijkstraTreeAllocs pins the cold tree build's allocation budget:
+// once the graph's dist and heap scratch have grown, building a tree
+// allocates only the prev slice it returns.
+func TestDijkstraTreeAllocs(t *testing.T) {
+	g := NewManhattanStyleGraph(23, 18)
+	n := g.Intersections()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for src := 0; src < n; src++ {
+		g.dijkstraTree(src)
+	}
+	src := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		g.dijkstraTree(src)
+		src = (src + 7) % n
+	})
+	if allocs > 1 {
+		t.Fatalf("dijkstraTree allocates %.1f times per build, want 1 (the returned tree)", allocs)
 	}
 }

@@ -13,7 +13,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -322,24 +321,8 @@ type Scenario struct {
 	// relative to its start and counters cover exactly this window.
 	Measure time.Duration
 
-	// Tiles selects tile-parallel execution (ARCHITECTURE.md,
-	// "Tile-parallel contracts"): the scenario bounding box splits into
-	// that many geo tiles, each with its own engine shard, receiver
-	// handlers fan out across tile workers, and window barriers refresh
-	// positions and exchange tile crossings in parallel. Results are
-	// byte-identical at every tile count — the deterministic merge
-	// replays all side effects in the single-engine order — so Tiles is
-	// purely a wall-clock knob. 0 selects automatically (tiled for
-	// city-scale rosters, single-engine otherwise), 1 forces the plain
-	// single-engine path, N >= 2 forces N tiles. Runs with CustomModels
-	// fall back to the single-engine path (no derivable geometry or
-	// speed bound).
+	// Deprecated: Tiles is ignored; every run uses one engine.
 	Tiles int
-
-	// TileShift offsets the tile lattice origin by the given vector
-	// (wrapped into one tile pitch). Any shift yields the same Result —
-	// the metamorphic re-partitioning lever used by tileparity_test.go.
-	TileShift geo.Point
 
 	// Sample, when positive, records a deterministic time-series over
 	// the measurement window into Result.Series: one SeriesPoint per
@@ -457,36 +440,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("netsim: CustomModels has %d entries for %d nodes",
 			len(s.CustomModels), s.Nodes)
 	}
-	if s.Tiles < 0 {
-		return fmt.Errorf("netsim: negative Tiles %d", s.Tiles)
-	}
 	if s.Sample < 0 {
 		return fmt.Errorf("netsim: negative Sample %v", s.Sample)
 	}
 	return nil
-}
-
-// autoTileMin is the roster size from which Tiles 0 resolves to a
-// tiled run; autoTileMax caps the automatic tile count.
-const (
-	autoTileMin = 2000
-	autoTileMax = 8
-)
-
-// resolveTiles turns the Tiles knob into an effective tile count.
-// CustomModels always resolve to 1: the tiler needs scenario geometry
-// and a mobility speed bound, which custom models do not declare.
-func (s Scenario) resolveTiles() int {
-	if s.CustomModels != nil {
-		return 1
-	}
-	switch {
-	case s.Tiles == 0:
-		if s.Nodes >= autoTileMin {
-			return min(runtime.NumCPU(), autoTileMax)
-		}
-		return 1
-	default:
-		return s.Tiles
-	}
 }

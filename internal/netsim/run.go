@@ -64,30 +64,14 @@ func (l locator) Position(id event.NodeID, at sim.Time) geo.Point {
 }
 
 // portTransport charges the scenario size model for every broadcast and
-// feeds the optional trace. In a tiled run (tr non-nil) a broadcast
-// issued inside a fan worker is captured instead of sent; replay calls
-// send with the buffer cleared, at the same instant, so the charged
-// size, trace record and port hand-off are identical to the serial
-// path.
+// feeds the optional trace.
 type portTransport struct {
 	port  *mac.Port
 	sizes event.SizeModel
 	r     *runner
-	tr    *tileRun
-	rank  int32
 }
 
 func (t portTransport) Broadcast(m event.Message) {
-	if t.tr != nil {
-		if b := t.tr.bufOf[t.rank]; b != nil {
-			b.acts = append(b.acts, action{kind: actBroadcast, rank: t.rank, msg: m})
-			return
-		}
-	}
-	t.send(m)
-}
-
-func (t portTransport) send(m event.Message) {
 	size := m.WireSize(t.sizes)
 	t.r.traceAdd(trace.Record{
 		At:    t.r.eng.Now(),
@@ -141,10 +125,6 @@ type runner struct {
 	records   []DeliveryRecord
 	published []PublishedEvent
 
-	// tiled is non-nil when the run is sharded across geo tiles
-	// (Scenario.Tiles); results are byte-identical either way.
-	tiled *tileRun
-
 	// medium is the run's broadcast channel, kept for the sampler's
 	// in-flight reads. sampler is non-nil when Scenario.Sample is set;
 	// it only observes (see series.go).
@@ -177,12 +157,7 @@ func Run(sc Scenario) (*Result, error) {
 	if err := r.schedule(); err != nil {
 		return nil, err
 	}
-	end := sim.At(sc.Warmup + sc.Measure)
-	if r.tiled != nil {
-		r.tiled.runUntil(end)
-	} else {
-		r.eng.RunUntil(end)
-	}
+	r.eng.RunUntil(sim.At(sc.Warmup + sc.Measure))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -240,12 +215,6 @@ func (r *runner) build() error {
 			})
 			_ = n.proto.HandleMessage(f.Msg)
 		})
-	}
-	// Tiling needs a known bounding box for the geometry; every
-	// registry mobility kind derives one. CustomModels resolve to one
-	// tile, and a zero caller-supplied Bounds falls back likewise.
-	if k := sc.resolveTiles(); k > 1 && cfg.Bounds != (geo.Rect{}) {
-		r.tiled = newTileRun(r, medium, cfg, k)
 	}
 	// Subscription assignment: a seeded shuffle picks the subscribers.
 	shuffleRng := r.eng.NewRand()
@@ -406,25 +375,6 @@ func (r *runner) buildProtocol(n *node) (proto.Disseminator, error) {
 		Rand:      rand.New(rand.NewSource(sc.Seed*7919 + int64(n.id)*104729 + 13)),
 		OnDeliver: r.deliverHook(n.id),
 		Speed:     func() float64 { return model.Speed(eng.Now()) },
-	}
-	if tr := r.tiled; tr != nil {
-		// Tiled wiring: timers file on the node's current tile shard,
-		// and transport/deliveries capture into the fan buffer when one
-		// is installed for the rank (also on crash-recovery rebuilds).
-		rank := int32(n.id)
-		inner := env.OnDeliver
-		tr.deliverTo[rank] = inner
-		env.OnDeliver = func(ev event.Event) {
-			if b := tr.bufOf[rank]; b != nil {
-				b.acts = append(b.acts, action{kind: actDeliver, rank: rank, ev: ev})
-				return
-			}
-			inner(ev)
-		}
-		env.Sched = tileSched{tr: tr, eng: r.eng, rank: rank}
-		tp := portTransport{port: n.port, sizes: sc.Sizes, r: r, tr: tr, rank: rank}
-		tr.transports[rank] = tp
-		env.Transport = tp
 	}
 	d, err := proto.Build(sc.Protocol.Name, sc.Protocol.Params, env)
 	if err != nil {
@@ -811,10 +761,6 @@ func (r *runner) collect() *Result {
 		Deliveries: r.records,
 		Latency:    r.lat,
 		Nodes:      make([]NodeResult, len(r.nodes)),
-	}
-	if r.tiled != nil {
-		stats := r.tiled.stats
-		res.Tile = &stats
 	}
 	if r.sampler != nil {
 		res.Series = r.sampler.series

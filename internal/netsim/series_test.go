@@ -9,8 +9,7 @@ import (
 )
 
 // sampleScenario returns the manhattan catalog scenario with the given
-// seed — enough traffic and tiles-compatibility to exercise every
-// series column.
+// seed — enough traffic to exercise every series column.
 func sampleScenario(t *testing.T, seed int64) Scenario {
 	t.Helper()
 	def, ok := LookupScenario("manhattan")
@@ -106,44 +105,6 @@ func TestSeriesSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestSeriesTileInvariant pins tile invariance: a tiled run samples the
-// same delivery/counter trajectory as the single-engine run (the
-// tile-path split columns are excluded — they legitimately vary).
-func TestSeriesTileInvariant(t *testing.T) {
-	forceFan(t)
-	run := func(tiles int) *Series {
-		sc := sampleScenario(t, 13)
-		sc.Sample = 2 * time.Second
-		sc.Tiles = tiles
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Series
-	}
-	ref, tiled := run(1), run(4)
-	if len(ref.Points) != len(tiled.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(ref.Points), len(tiled.Points))
-	}
-	for i := range ref.Points {
-		a, b := ref.Points[i], tiled.Points[i]
-		// Fan/serial split is tile machinery, not measurement.
-		a.FannedFrames, a.SerialFrames = 0, 0
-		b.FannedFrames, b.SerialFrames = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("point %d differs tiled vs untiled:\n%+v\nvs\n%+v", i, a, b)
-		}
-	}
-	var fanned, serial uint64
-	for _, p := range tiled.Points {
-		fanned += p.FannedFrames
-		serial += p.SerialFrames
-	}
-	if fanned+serial == 0 {
-		t.Fatal("tiled series shows no delivery-path activity")
-	}
-}
-
 // TestSeriesEncoders pins the CSV header/row shape and that the JSON
 // document parses with the same columns.
 func TestSeriesEncoders(t *testing.T) {
@@ -162,7 +123,7 @@ func TestSeriesEncoders(t *testing.T) {
 		t.Fatalf("CSV has %d lines for %d points", len(lines), len(res.Series.Points))
 	}
 	header := strings.Split(lines[0], ",")
-	for _, want := range []string{"t_s", "delivery_ratio", "proto_delivered", "mac_frames_sent", "fanned_frames"} {
+	for _, want := range []string{"t_s", "delivery_ratio", "proto_delivered", "mac_frames_sent", "pending"} {
 		found := false
 		for _, c := range header {
 			if c == want {

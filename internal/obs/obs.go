@@ -181,8 +181,10 @@ func validName(s string, label bool) bool {
 	return true
 }
 
-// register resolves or creates the (name, labels) series.
-func (r *Registry) register(name, help string, k kind, labels []string) *series {
+// register resolves or creates the (name, labels) series and applies
+// set to it. set runs under the registry lock, which is what orders its
+// writes before any scrape that reads the series.
+func (r *Registry) register(name, help string, k kind, labels []string, set func(*series)) *series {
 	if !validName(name, false) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -201,9 +203,11 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 		if s.kind != k {
 			panic(fmt.Sprintf("obs: metric %s re-registered as %v (was %v)", key, k, s.kind))
 		}
+		set(s)
 		return s
 	}
 	s := &series{name: name, labels: append([]string(nil), labels...), kind: k}
+	set(s)
 	r.index[key] = s
 	r.elems = append(r.elems, s)
 	if help != "" {
@@ -215,44 +219,42 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 // Counter returns the counter registered under (name, labels), creating
 // it on first use. Labels are flat key/value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.register(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, help, kindCounter, labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge registered under (name, labels).
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, help, kindGauge, labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the bridge for components that already keep atomic counters
 // (e.g. transport.UDP). fn must be safe to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
-	s := r.register(name, help, kindCounterFunc, labels)
-	s.cf = fn
+	r.register(name, help, kindCounterFunc, labels, func(s *series) { s.cf = fn })
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time (queue
 // depths, table sizes). fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.register(name, help, kindGaugeFunc, labels)
-	s.gf = fn
+	r.register(name, help, kindGaugeFunc, labels, func(s *series) { s.gf = fn })
 }
 
 // Histogram returns the histogram registered under (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...string) *Hist {
-	s := r.register(name, help, kindHist, labels)
-	if s.h == nil {
-		s.h = &Hist{}
-	}
-	return s.h
+	return r.register(name, help, kindHist, labels, func(s *series) {
+		if s.h == nil {
+			s.h = &Hist{}
+		}
+	}).h
 }
 
 // Sample is one series' state in a Snapshot.
@@ -272,8 +274,10 @@ type Sample struct {
 // sorted by name, then registration order within a name.
 func (r *Registry) snapshot() []Sample {
 	r.mu.Lock()
-	elems := make([]*series, len(r.elems))
-	copy(elems, r.elems)
+	elems := make([]series, len(r.elems))
+	for i, s := range r.elems {
+		elems[i] = *s
+	}
 	r.mu.Unlock()
 	sort.SliceStable(elems, func(i, j int) bool { return elems[i].name < elems[j].name })
 

@@ -3,7 +3,7 @@
 // UDP emulates the one-hop broadcast primitive of a MANET MAC layer with
 // UDP datagrams fanned out to a peer group — the standard way to
 // run MANET protocols in LAN testbeds. Combined with core.NewSafe and a
-// wall-clock core.Scheduler, the protocol runs unchanged on real
+// wall-clock proto.Scheduler, the protocol runs unchanged on real
 // sockets (see TestUDPEndToEnd and examples/inprocess for the in-memory
 // analogue).
 //
@@ -295,7 +295,7 @@ func (f localFilter) matches(ap netip.AddrPort) bool {
 	return a == f.bound
 }
 
-// UDP is a peer-group broadcast transport. It implements core.Transport.
+// UDP is a peer-group broadcast transport. It implements proto.Transport.
 type UDP struct {
 	conn    net.PacketConn
 	uconn   *net.UDPConn // conn when it is a real UDP socket; enables WriteToUDPAddrPort
@@ -643,7 +643,7 @@ func (u *UDP) sweepLoop() {
 	}
 }
 
-// Broadcast implements core.Transport: marshal into a pooled ring slot
+// Broadcast implements proto.Transport: marshal into a pooled ring slot
 // and return. The writer goroutine fans the message out to every peer
 // in its next flush batch; a full ring drops the oldest queued message
 // (counted in Stats.Dropped) rather than blocking the protocol layer.

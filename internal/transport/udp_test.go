@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 )
 
@@ -477,11 +478,11 @@ func TestUDPBroadcastZeroAlloc(t *testing.T) {
 	}
 }
 
-// wallSched is a real-time core.Scheduler for the end-to-end test.
+// wallSched is a real-time proto.Scheduler for the end-to-end test.
 type wallSched struct{ start time.Time }
 
 func (w wallSched) Now() time.Duration { return time.Since(w.start) }
-func (w wallSched) After(d time.Duration, fn func()) core.Timer {
+func (w wallSched) After(d time.Duration, fn func()) proto.Timer {
 	return wallTimer{time.AfterFunc(d, fn)}
 }
 

@@ -42,7 +42,7 @@ func (n *Node) RegisterMetrics(reg *MetricsRegistry) {
 		f := st.Field(i)
 		name := "repro_pubsub_" + metricSnake(f.Name) + "_total"
 		idx := i
-		reg.CounterFunc(name, "protocol counter "+f.Name+" (core.Stats)", func() uint64 {
+		reg.CounterFunc(name, "protocol counter "+f.Name+" (proto.Stats)", func() uint64 {
 			return reflect.ValueOf(n.safe.Stats()).Field(idx).Uint()
 		}, label...)
 	}

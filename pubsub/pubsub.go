@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/proto"
 	"repro/internal/topic"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -58,13 +59,13 @@ type (
 	Config = core.Config
 	// Scheduler abstracts time; implement it to control timers, or use
 	// the built-in wall clock via NewNode.
-	Scheduler = core.Scheduler
+	Scheduler = proto.Scheduler
 	// Transport is the one-hop broadcast primitive.
-	Transport = core.Transport
+	Transport = proto.Transport
 	// Timer is a cancellable scheduled callback.
-	Timer = core.Timer
+	Timer = proto.Timer
 	// Stats are the protocol's cumulative counters.
-	Stats = core.Stats
+	Stats = proto.Stats
 	// TransportStats are the UDP transport's cumulative counters
 	// (datagrams, decode errors, queue drops, flush batches).
 	TransportStats = transport.Stats

@@ -10,24 +10,28 @@ import (
 
 // neighbor is one row of the paper's neighborhood table (Figure 2):
 // identity, subscriptions, presumed received events, speed and store time.
+// The presumed-received set is a bitset over the owning protocol's event
+// slots (see slotIntern), so the send-set test per (event, neighbor) is
+// one bit read instead of a hashed lookup.
 type neighbor struct {
 	id       event.NodeID
 	subs     *topic.Set
 	speed    float64 // m/s, negative = unknown
-	has      map[event.ID]struct{}
+	has      []uint64
 	storedAt time.Duration
 }
 
-func (n *neighbor) knows(id event.ID) bool {
-	_, ok := n.has[id]
-	return ok
+func (n *neighbor) knows(slot int32) bool {
+	w := int(slot >> 6)
+	return w < len(n.has) && n.has[w]&(1<<(uint(slot)&63)) != 0
 }
 
-func (n *neighbor) markHas(id event.ID) {
-	if n.has == nil {
-		n.has = make(map[event.ID]struct{})
+func (n *neighbor) markHas(slot int32) {
+	w := int(slot >> 6)
+	if w >= len(n.has) {
+		n.has = append(n.has, make([]uint64, w+1-len(n.has))...)
 	}
-	n.has[id] = struct{}{}
+	n.has[w] |= 1 << (uint(slot) & 63)
 }
 
 // neighborhood is the dynamic one-hop neighbor table. Only neighbors with

@@ -41,10 +41,9 @@ func TestNeighborhoodUpsert(t *testing.T) {
 func TestNeighborhoodHasSurvivesRefresh(t *testing.T) {
 	nh := newNeighborhood(0)
 	nh.upsert(1, subsOf(".a"), -1, 0)
-	id := event.ID{Lo: 9}
-	nh.get(1).markHas(id)
+	nh.get(1).markHas(9)
 	nh.upsert(1, subsOf(".a"), -1, time.Second)
-	if !nh.get(1).knows(id) {
+	if !nh.get(1).knows(9) {
 		t.Fatal("presumed-received set lost on heartbeat refresh")
 	}
 }

@@ -99,7 +99,7 @@ func TestPendingIDListExpiry(t *testing.T) {
 	}
 	if nb := p.nbrs.get(5); nb == nil {
 		t.Fatal("neighbor not added")
-	} else if nb.knows(x) {
+	} else if knowsID(p, nb, x) {
 		t.Fatal("stale stashed id list was applied")
 	}
 	if len(p.pendingIDs) != 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/event"
@@ -36,15 +35,21 @@ type Protocol struct {
 	// needer's (the one-shot id exchange then never reaches the holder).
 	// Stashing until the heartbeat arrives preserves the paper's
 	// frugality while restoring liveness; entries expire after ngcDelay.
-	pendingIDs map[event.NodeID]pendingIDList
+	// pendingSince is a lower bound on the oldest stash time, so
+	// prunePending scans the stash only when something can expire.
+	pendingIDs   map[event.NodeID]pendingIDList
+	pendingSince time.Duration
+
+	// needMark is computeSendSet's reused per-row "needs something" mark.
+	needMark []bool
 
 	stats   proto.Stats
 	stopped bool
 }
 
 type pendingIDList struct {
-	ids []event.ID
-	at  time.Duration
+	slots []int32
+	at    time.Duration
 }
 
 // maxPendingIDLists bounds the stash of id lists from undiscovered
@@ -256,8 +261,8 @@ func (p *Protocol) onHeartbeat(h event.Heartbeat) {
 			delete(p.pendingIDs, h.From)
 			if now-pend.at <= p.ngcDelay {
 				nb := p.nbrs.get(h.From)
-				for _, id := range pend.ids {
-					nb.markHas(id)
+				for _, s := range pend.slots {
+					nb.markHas(s)
 				}
 				p.retrieveEventsToSend()
 			}
@@ -278,25 +283,36 @@ func (p *Protocol) onIDList(l event.IDList) {
 	if nb == nil {
 		p.prunePending(now)
 		if len(p.pendingIDs) < maxPendingIDLists {
-			p.pendingIDs[l.From] = pendingIDList{
-				ids: append([]event.ID(nil), l.IDs...),
-				at:  now,
+			if len(p.pendingIDs) == 0 {
+				p.pendingSince = now
 			}
+			slots := make([]int32, len(l.IDs))
+			for i, id := range l.IDs {
+				slots[i] = p.table.slots.slot(id)
+			}
+			p.pendingIDs[l.From] = pendingIDList{slots: slots, at: now}
 		}
 		return
 	}
 	for _, id := range l.IDs {
-		nb.markHas(id)
+		nb.markHas(p.table.slots.slot(id))
 	}
 	p.retrieveEventsToSend()
 }
 
 // prunePending drops stashed id lists older than the neighborhood GC
-// horizon.
+// horizon. Stash times never precede pendingSince, so nothing can
+// expire, and the map walk is skipped, until pendingSince itself would.
 func (p *Protocol) prunePending(now time.Duration) {
+	if now-p.pendingSince <= p.ngcDelay {
+		return
+	}
+	p.pendingSince = now
 	for id, pend := range p.pendingIDs {
 		if now-pend.at > p.ngcDelay {
 			delete(p.pendingIDs, id)
+		} else if pend.at < p.pendingSince {
+			p.pendingSince = pend.at
 		}
 	}
 }
@@ -321,8 +337,11 @@ func (p *Protocol) onEvents(msg event.Events) {
 	interested := false
 	for _, ev := range msg.Events {
 		p.stats.EventsReceived++
-		for _, nb := range holders {
-			nb.markHas(ev.ID)
+		if len(holders) > 0 {
+			s := p.table.slots.slot(ev.ID)
+			for _, nb := range holders {
+				nb.markHas(s)
+			}
 		}
 		if !p.subs.Covers(ev.Topic) {
 			p.stats.Parasites++ // parasite event: drop (Section 3)
@@ -395,8 +414,9 @@ func (p *Protocol) Publish(t topic.Topic, payload []byte, validity time.Duration
 		})
 		p.stats.EventMsgsSent++
 		p.stats.EventsSent++
-		p.markAllNeighbors(ev.ID)
-		p.table.get(ev.ID).fwd++
+		e := p.table.get(ev.ID)
+		p.markAllNeighbors(e.slot)
+		e.fwd++
 	}
 	p.stats.Published++
 	if p.subs.Covers(t) {
@@ -418,48 +438,83 @@ func (p *Protocol) interestedNeighbors(t topic.Topic) []event.NodeID {
 	return out
 }
 
-func (p *Protocol) markAllNeighbors(id event.ID) {
+func (p *Protocol) markAllNeighbors(slot int32) {
 	for _, nb := range p.nbrs.sorted() {
-		nb.markHas(id)
+		nb.markHas(slot)
 	}
 }
 
+// needs reports whether nb is interested in e and not presumed to hold
+// it. The bit test goes first: it is the cheaper of two pure checks.
+func needs(nb *neighbor, e *tableEntry) bool {
+	return !nb.knows(e.slot) && nb.subs.Covers(e.ev.Topic)
+}
+
 // computeSendSet returns the valid stored events some neighbor needs,
-// plus the union of the needing neighbors' ids (paper Figure 7).
+// plus the sorted ids of the needing neighbors (paper Figure 7).
 func (p *Protocol) computeSendSet() ([]*tableEntry, []event.NodeID) {
 	now := p.sched.Now()
+	rows := p.nbrs.sorted()
+	if cap(p.needMark) < len(rows) {
+		p.needMark = make([]bool, len(rows))
+	}
+	mark := p.needMark[:len(rows)]
+	clear(mark)
 	var entries []*tableEntry
-	needers := make(map[event.NodeID]bool)
-	for _, e := range p.table.validEntries(now) {
+	for _, e := range p.table.order {
+		if !e.valid(now) {
+			continue
+		}
 		needed := false
-		for _, nb := range p.nbrs.sorted() {
-			if nb.subs.Covers(e.ev.Topic) && !nb.knows(e.ev.ID) {
+		for i, nb := range rows {
+			if needs(nb, e) {
 				needed = true
-				needers[nb.id] = true
+				mark[i] = true
 			}
 		}
 		if needed {
 			entries = append(entries, e)
 		}
 	}
-	ids := make([]event.NodeID, 0, len(needers))
-	for id := range needers {
-		ids = append(ids, id)
+	var ids []event.NodeID
+	for i, nb := range rows {
+		if mark[i] {
+			ids = append(ids, nb.id)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return entries, ids
+}
+
+// sendCount returns the size of computeSendSet's event list without
+// building either list.
+func (p *Protocol) sendCount() int {
+	now := p.sched.Now()
+	rows := p.nbrs.sorted()
+	n := 0
+	for _, e := range p.table.order {
+		if !e.valid(now) {
+			continue
+		}
+		for _, nb := range rows {
+			if needs(nb, e) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // retrieveEventsToSend implements RETRIEVEEVENTSTOSEND (paper Figure 7):
 // when some neighbor misses events we hold, arm (or tighten) the back-off
 // timer; the send set itself is recomputed at expiry.
 func (p *Protocol) retrieveEventsToSend() {
-	entries, _ := p.computeSendSet()
-	if len(entries) == 0 {
+	n := p.sendCount()
+	if n == 0 {
 		return
 	}
 	now := p.sched.Now()
-	delay := p.computeBODelay(len(entries))
+	delay := p.computeBODelay(n)
 	deadline := now + delay
 	if p.boTimer != nil {
 		if deadline >= p.boDeadline {
@@ -503,7 +558,7 @@ func (p *Protocol) onBackoffExpired() {
 	p.stats.EventMsgsSent++
 	p.stats.EventsSent += uint64(len(events))
 	for _, e := range entries {
-		p.markAllNeighbors(e.ev.ID)
+		p.markAllNeighbors(e.slot)
 		e.fwd++
 	}
 }

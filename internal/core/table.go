@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,6 +17,7 @@ type tableEntry struct {
 	expiresAt time.Duration // local absolute expiry
 	fwd       int           // times this node sent/forwarded the event
 	storedAt  time.Duration
+	slot      int32 // the event id's slot in the table's intern
 }
 
 func (e *tableEntry) valid(now time.Duration) bool { return now < e.expiresAt }
@@ -38,43 +40,85 @@ func (e *tableEntry) gcScore() float64 {
 	return val / (float64(e.fwd) + val)
 }
 
+// slotIntern maps each event id a protocol stores or is told a neighbor
+// holds to a dense slot: the index of the id's bit in every neighbor's
+// presumed-received bitset and of its entry in the event table. Slots
+// are never reused, so the next slot is the intern's size. An id keeps
+// its slot when its event is evicted and received again, when a
+// neighbor announces it before the event is stored, and when a
+// crash-recovered publisher re-issues it, so every bit already set for
+// the id keeps answering for it.
+type slotIntern map[event.ID]int32
+
+// slot returns id's slot, assigning the next one on first sight.
+func (si slotIntern) slot(id event.ID) int32 {
+	s, ok := si[id]
+	if !ok {
+		s = int32(len(si))
+		si[id] = s
+	}
+	return s
+}
+
 // eventTable stores received/published events organized by topic (paper
-// Figure 3), with capacity-triggered garbage collection.
+// Figure 3), with capacity-triggered garbage collection. It owns its
+// protocol's slot intern. bySlot indexes entries by slot; order holds
+// every entry sorted by olderID, the deterministic iteration order of
+// validEntries and of the send set.
 type eventTable struct {
 	cap    int // 0 = unbounded
 	policy GCPolicy
 	rng    *rand.Rand // for GCRandom; may be nil otherwise
-	byID   map[event.ID]*tableEntry
+	slots  slotIntern
+	bySlot []*tableEntry
+	order  []*tableEntry
 	tree   topic.Tree[*tableEntry]
 }
 
 func newEventTable(capacity int) *eventTable {
-	return &eventTable{cap: capacity, byID: make(map[event.ID]*tableEntry)}
+	return &eventTable{cap: capacity, slots: make(slotIntern)}
 }
 
-func (t *eventTable) len() int { return len(t.byID) }
+func (t *eventTable) len() int { return len(t.order) }
 
-func (t *eventTable) has(id event.ID) bool {
-	_, ok := t.byID[id]
-	return ok
+func (t *eventTable) has(id event.ID) bool { return t.get(id) != nil }
+
+func (t *eventTable) get(id event.ID) *tableEntry {
+	if s, ok := t.slots[id]; ok && int(s) < len(t.bySlot) {
+		return t.bySlot[s]
+	}
+	return nil
 }
-
-func (t *eventTable) get(id event.ID) *tableEntry { return t.byID[id] }
 
 // insert stores ev, evicting via the GC policy when the table is full.
-// It returns the evicted entry, if any. The caller guarantees ev is not
-// already present.
+// It returns the evicted entry, if any.
 func (t *eventTable) insert(ev event.Event, now time.Duration) *tableEntry {
 	var evicted *tableEntry
-	if t.cap > 0 && len(t.byID) >= t.cap {
+	if t.cap > 0 && len(t.order) >= t.cap {
 		evicted = t.garbageCollect(now)
 	}
 	e := &tableEntry{
 		ev:        ev,
 		expiresAt: now + ev.Remaining,
 		storedAt:  now,
+		slot:      t.slots.slot(ev.ID),
 	}
-	t.byID[ev.ID] = e
+	if int(e.slot) >= len(t.bySlot) {
+		t.bySlot = append(t.bySlot, make([]*tableEntry, int(e.slot)+1-len(t.bySlot))...)
+	}
+	if old := t.bySlot[e.slot]; old != nil {
+		// A crash-recovered publisher can re-issue a stored id. The
+		// new entry takes over the slot and the order position; the
+		// old one stays in the topic tree, where idsMatching's per-id
+		// dedup hides it.
+		t.deleteOrdered(old)
+	}
+	t.bySlot[e.slot] = e
+	i := len(t.order)
+	for i > 0 && olderID(e, t.order[i-1]) {
+		i--
+	}
+	t.order = slices.Insert(t.order, i, e)
 	t.tree.Add(ev.Topic, e)
 	return evicted
 }
@@ -85,7 +129,7 @@ func (t *eventTable) insert(ev event.Event, now time.Duration) *tableEntry {
 // deterministic. GCFIFO/GCRandom are ablation policies.
 func (t *eventTable) garbageCollect(now time.Duration) *tableEntry {
 	var victim *tableEntry
-	for _, e := range t.byID {
+	for _, e := range t.order {
 		if !e.valid(now) {
 			// An expired entry displaces any valid victim; among
 			// expired entries the tie-break keeps runs deterministic.
@@ -146,20 +190,27 @@ func olderID(a, b *tableEntry) bool {
 }
 
 func (t *eventTable) remove(e *tableEntry) {
-	delete(t.byID, e.ev.ID)
+	t.bySlot[e.slot] = nil
+	t.deleteOrdered(e)
 	t.tree.RemoveFunc(e.ev.Topic, func(v *tableEntry) bool { return v == e })
 }
 
-// validEntries returns the still-valid entries sorted by id (stable
+// deleteOrdered removes e from order, found by binary search: olderID
+// is a strict total order over stored entries.
+func (t *eventTable) deleteOrdered(e *tableEntry) {
+	i := sort.Search(len(t.order), func(i int) bool { return !olderID(t.order[i], e) })
+	t.order = slices.Delete(t.order, i, i+1)
+}
+
+// validEntries returns the still-valid entries in olderID order (stable
 // iteration keeps outgoing messages deterministic).
 func (t *eventTable) validEntries(now time.Duration) []*tableEntry {
-	out := make([]*tableEntry, 0, len(t.byID))
-	for _, e := range t.byID {
+	out := make([]*tableEntry, 0, len(t.order))
+	for _, e := range t.order {
 		if e.valid(now) {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return olderID(out[i], out[j]) })
 	return out
 }
 

@@ -182,7 +182,7 @@ func TestRemoveAlsoPrunesTree(t *testing.T) {
 	tb.insert(ev, 0)
 	tb.remove(tb.get(ev.ID))
 	if tb.has(ev.ID) || tb.len() != 0 {
-		t.Fatal("remove left byID entry")
+		t.Fatal("remove left the entry indexed")
 	}
 	ids := tb.idsMatching(topic.NewSet(topic.MustParse(".a")), 0)
 	if len(ids) != 0 {
